@@ -11,7 +11,8 @@
 #   make smoke      - one fast figure benchmark through the parallel runner
 #   make smoke-cli  - exercise the unified CLI end to end: help, a registry
 #                     listing, schema validation of every bundled study
-#                     spec, and the smoke study on a tiny mesh
+#                     spec, the smoke study on a tiny mesh, and the sweep
+#                     and profile commands (both route through route_cell)
 #   make bench-smoke - time all three simulator backends on a small fixed
 #                     sweep (the batch kernel as one vectorized call),
 #                     write BENCH_simkernel.json (appending the record to
@@ -67,6 +68,10 @@ smoke-cli:
 	$(PYTHON) -m repro list routers
 	$(PYTHON) -m repro validate examples/studies/*.yaml
 	$(PYTHON) -m repro run examples/studies/smoke.yaml --backend fast --no-cache
+	$(PYTHON) -m repro sweep --profile quick --workload transpose \
+		--algorithms dor,bsor-dijkstra --no-cache
+	$(PYTHON) -m repro profile --profile quick --workload transpose \
+		--algorithm bsor-dijkstra --top 5
 
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py --check

@@ -10,19 +10,16 @@ says BSOR's effectiveness "can no longer be guaranteed".
 from bench_utils import bench_config, emit, is_full_scale
 
 from repro.experiments import figure_variation_sweep
-from repro.routing import BSORRouting, XYRouting, YXRouting
 
-
-def _algorithms(config):
-    return [XYRouting(), YXRouting(),
-            BSORRouting(selector="dijkstra", hop_slack=config.hop_slack)]
+#: The curves plotted: the DOR baselines against BSOR-Dijkstra.
+ALGORITHMS = ["XY", "YX", "BSOR-Dijkstra"]
 
 
 def test_figure_6_10_transpose_50pct(benchmark):
     config = bench_config()
     figure = benchmark.pedantic(
         figure_variation_sweep, args=("transpose", 0.50, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+        kwargs=dict(algorithms=ALGORITHMS), rounds=1, iterations=1,
     )
     emit("Figure 6-10(a) transpose, 50% variation", figure.render())
     saturation = figure.saturation_throughputs()
@@ -37,7 +34,7 @@ def test_figure_6_10_h264_50pct(benchmark):
     config = bench_config()
     figure = benchmark.pedantic(
         figure_variation_sweep, args=("h264", 0.50, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+        kwargs=dict(algorithms=ALGORITHMS), rounds=1, iterations=1,
     )
     emit("Figure 6-10(b) H.264, 50% variation", figure.render())
     saturation = figure.saturation_throughputs()

@@ -8,19 +8,16 @@ presence of run-time bandwidth variations at low injection rates."
 from bench_utils import bench_config, emit, is_full_scale
 
 from repro.experiments import figure_throughput_latency, figure_variation_sweep
-from repro.routing import BSORRouting, XYRouting, YXRouting
 
-
-def _algorithms(config):
-    return [XYRouting(), YXRouting(),
-            BSORRouting(selector="dijkstra", hop_slack=config.hop_slack)]
+#: The curves plotted: the DOR baselines against BSOR-Dijkstra.
+ALGORITHMS = ["XY", "YX", "BSOR-Dijkstra"]
 
 
 def test_figure_6_9_transpose_25pct(benchmark):
     config = bench_config()
     figure = benchmark.pedantic(
         figure_variation_sweep, args=("transpose", 0.25, config),
-        kwargs=dict(algorithms=_algorithms(config)), rounds=1, iterations=1,
+        kwargs=dict(algorithms=ALGORITHMS), rounds=1, iterations=1,
     )
     emit("Figure 6-9(a) transpose, 25% variation", figure.render())
     saturation = figure.saturation_throughputs()
@@ -36,16 +33,11 @@ def test_figure_6_9_degradation_is_bounded(benchmark):
     config = bench_config()
 
     def run():
-        algorithms = [BSORRouting(selector="dijkstra",
-                                  hop_slack=config.hop_slack)]
         nominal = figure_throughput_latency("transpose", config,
-                                            algorithms=algorithms,
+                                            algorithms=["BSOR-Dijkstra"],
                                             figure_name="nominal")
-        varied = figure_variation_sweep(
-            "transpose", 0.25, config,
-            algorithms=[BSORRouting(selector="dijkstra",
-                                    hop_slack=config.hop_slack)],
-        )
+        varied = figure_variation_sweep("transpose", 0.25, config,
+                                        algorithms=["BSOR-Dijkstra"])
         return nominal, varied
 
     nominal, varied = benchmark.pedantic(run, rounds=1, iterations=1)

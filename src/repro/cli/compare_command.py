@@ -1,8 +1,7 @@
 """The ``compare`` subcommand: the routing-comparison engine's CLI face.
 
-Moved here from ``repro.compare.cli`` (which now forwards); the option set
-and output are unchanged: an adaptive saturation search over the
-(topology x pattern x router) matrix, rendered as markdown or JSON.
+An adaptive saturation search over the (topology x pattern x router)
+matrix, rendered as markdown or JSON.
 """
 
 from __future__ import annotations

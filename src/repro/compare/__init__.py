@@ -12,8 +12,10 @@ first-class way to run that comparison:
   rate sweeps at a 3-5x reduction in simulator invocations
   (:func:`dense_saturation` is the grid sweep it replaces, kept for
   agreement tests and benchmarks);
+* :func:`route_cell` — the route stage every execution path shares: one
+  registry router, one CDG-set rule, one fault branch;
 * :func:`render_markdown` / :func:`render_json` — report emission;
-* a CLI: ``python -m repro.compare --topology mesh8x8 --patterns
+* a CLI: ``python -m repro compare --topology mesh8x8 --patterns
   transpose,bit_complement --routers dor,o1turn,bsor-dijkstra``.
 
 Routers are named via :mod:`repro.routing.registry`; new algorithms become
@@ -25,9 +27,11 @@ from .matrix import (
     CompareCell,
     CompareMatrix,
     CompareResult,
+    RoutedCell,
     compare_routers,
     parse_topology,
     pattern_flow_set,
+    route_cell,
 )
 from .report import cell_to_dict, render_json, render_markdown, result_to_dict
 from .saturation import (
@@ -43,6 +47,7 @@ __all__ = [
     "CompareCell",
     "CompareMatrix",
     "CompareResult",
+    "RoutedCell",
     "SaturationCriteria",
     "SaturationObservation",
     "SaturationResult",
@@ -56,4 +61,5 @@ __all__ = [
     "render_json",
     "render_markdown",
     "result_to_dict",
+    "route_cell",
 ]

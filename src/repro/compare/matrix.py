@@ -7,9 +7,9 @@ topologies and traffic patterns.  For every cell of the cross-product it
 1. builds the topology (``"mesh8x8"``-style specs, see
    :func:`parse_topology`) and the traffic pattern (synthetic patterns by
    name/alias, or one of the application workloads on a mesh);
-2. instantiates the router from the :mod:`repro.routing.registry` and
-   computes its static route set (offline metrics — maximum channel load,
-   average hops — come straight from the routes);
+2. computes the router's static route set through :func:`route_cell`,
+   the one route stage every execution path shares (offline metrics —
+   maximum channel load, average hops — come straight from the routes);
 3. runs the adaptive :class:`~repro.compare.saturation.SaturationSearch`
    instead of a dense rate sweep.  All unfinished cells propose their next
    offered rate each round and the whole round is submitted to the
@@ -32,17 +32,18 @@ from ..experiments.config import ExperimentConfig
 from ..experiments.workloads import APPLICATION_WORKLOADS, workload_flow_set
 from ..faults import FaultSet, route_with_faults
 from ..metrics.statistics import SimulationStatistics
-from ..routing.base import RouteSet, RoutingAlgorithm
-from ..routing.bsor.framework import full_strategy_set
+from ..routing.base import RouteSet
+from ..routing.bsor.framework import full_strategy_set, paper_strategies
 from ..routing.registry import router_spec
 from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
+from ..simulator.config import SimulationConfig
 from ..simulator.simulation import phase_boundaries_for
 from ..topology.base import Topology
 from ..topology.mesh import Mesh2D
 from ..topology.ring import Ring
 from ..topology.torus import Torus2D
 from ..traffic.flow import FlowSet
-from ..traffic.synthetic import normalize_pattern_name, synthetic_by_name
+from ..traffic.synthetic import synthetic_by_name
 from ..workloads.registry import is_registered_workload, workload_spec
 from ..workloads.registry import workload_flow_set as registry_workload_flow_set
 from .saturation import SaturationCriteria, SaturationResult, SaturationSearch
@@ -121,6 +122,82 @@ def pattern_flow_set(pattern: str, topology: Topology,
         raise  # pragma: no cover - workload_spec cannot succeed here
 
 
+@dataclass(frozen=True)
+class RoutedCell:
+    """The routes of one (router, topology, flow set, faults) cell.
+
+    Everything a :class:`~repro.runner.engine.SweepSpec` needs besides the
+    simulation config and the rates, plus the router's registry names.
+    """
+
+    #: Canonical registry name (``"bsor-dijkstra"``).
+    router: str
+    #: The name result tables print (``"BSOR-Dijkstra"``).
+    display_name: str
+    #: The topology to simulate on: degraded by the static faults, if any.
+    topology: Topology
+    route_set: RouteSet
+    phase_boundaries: Optional[Dict[str, int]]
+    fault_schedule: Optional[object]
+
+    def sweep_spec(self, simulation: SimulationConfig,
+                   offered_rates: Sequence[float],
+                   workload: str = "") -> SweepSpec:
+        """A sweep of this cell's routes at *offered_rates*."""
+        return SweepSpec(self.topology, self.route_set, simulation,
+                         offered_rates, workload=workload,
+                         phase_boundaries=self.phase_boundaries,
+                         fault_schedule=self.fault_schedule)
+
+
+def route_cell(router_name: str, topology: Topology, flow_set: FlowSet,
+               config: ExperimentConfig, faults=None) -> RoutedCell:
+    """The route stage: route *flow_set* with a registered router.
+
+    Every execution path (studies, the comparison matrix, the figure and
+    table harnesses, the CLI and the report heatmap) routes through here,
+    so the same cell always gets the same routes.  It decides three
+    things:
+
+    * the router: a fresh instance from the registry spec, configured by
+      the config's option bag (``seed``, ``hop_slack``,
+      ``milp_time_limit``) — fresh because randomized routers (ROMM,
+      Valiant, O1TURN) carry per-compute state;
+    * BSOR's CDG strategy set: the full 12 + 3 set on a
+      :class:`~repro.topology.mesh.Mesh2D` when
+      ``config.explore_full_cdg_set`` is set (the ad hoc and turn-model
+      strategies are mesh constructions), else the paper's five;
+    * the fault branch: a non-empty *faults* (anything
+      :meth:`~repro.faults.FaultSet.from_spec` accepts) reroutes through
+      :func:`~repro.faults.route_with_faults`, which re-verifies deadlock
+      freedom on the degraded topology; a fault-free cell computes its
+      routes directly and skips that analysis.
+    """
+    spec = router_spec(router_name)
+    options = dict(seed=config.seed, hop_slack=config.hop_slack,
+                   milp_time_limit=config.milp_time_limit)
+    if "strategies" in spec.accepted_options():
+        # only BSOR explores CDGs, and the full set builds 16 of them
+        options["strategies"] = (
+            full_strategy_set(topology)
+            if config.explore_full_cdg_set and isinstance(topology, Mesh2D)
+            else paper_strategies()
+        )
+    router = spec.create(**options)
+    fault_set = FaultSet.from_spec(faults)
+    if fault_set:
+        routed = route_with_faults(router, topology, flow_set, fault_set)
+        topology, route_set = routed.topology, routed.route_set
+        boundaries, schedule = routed.phase_boundaries, routed.schedule
+    else:
+        route_set = router.compute_routes(topology, flow_set)
+        boundaries, schedule = phase_boundaries_for(router, route_set), None
+    return RoutedCell(router=spec.name, display_name=spec.display_name,
+                      topology=topology, route_set=route_set,
+                      phase_boundaries=boundaries or None,
+                      fault_schedule=schedule or None)
+
+
 @dataclass
 class CompareCell:
     """One row of the comparison matrix: one router on one workload.
@@ -194,8 +271,10 @@ class CompareResult:
 
     def cell(self, topology: str, pattern: str, router: str,
              faults: Optional[str] = None) -> CompareCell:
+        from ..study.execute import validate_pattern
+
         router = router_spec(router).name
-        pattern = _canonical_pattern(pattern)
+        pattern = validate_pattern(pattern)
         topology = topology.strip().lower()
         label = None if faults is None else FaultSet.from_spec(faults).label()
         for candidate in self.cells:
@@ -231,30 +310,15 @@ class CompareResult:
         return ResultSet([cell.to_row() for cell in self.cells])
 
 
-def _canonical_pattern(pattern: str) -> str:
-    key = pattern.strip().lower()
-    if key in APPLICATION_WORKLOADS:
-        return key
-    if is_registered_workload(key):
-        return workload_spec(key).name
-    return normalize_pattern_name(pattern)
-
-
 @dataclass
 class _Cell:
     """Internal per-cell state while the matrix is running."""
 
     topology_name: str
     pattern: str
-    router: str
-    display_name: str
-    topology: Topology
-    algorithm: RoutingAlgorithm
-    route_set: RouteSet
-    boundaries: Dict[str, int]
+    routed: RoutedCell
     search: SaturationSearch
     faults: str = "none"
-    fault_schedule: Optional[object] = None
     #: offered rate -> simulated statistics, for the latency columns.
     statistics: Dict[float, SimulationStatistics] = field(default_factory=dict)
 
@@ -312,12 +376,8 @@ class CompareMatrix:
             if not batch:
                 break
             specs = {
-                key: SweepSpec(
-                    cell.topology, cell.route_set, self.config.simulation,
-                    [rate], workload=cell.pattern,
-                    phase_boundaries=cell.boundaries or None,
-                    fault_schedule=cell.fault_schedule,
-                )
+                key: cell.routed.sweep_spec(self.config.simulation, [rate],
+                                            workload=cell.pattern)
                 for key, (cell, rate) in batch.items()
             }
             results = self.runner.sweep_many(specs)
@@ -342,58 +402,26 @@ class CompareMatrix:
             raise ExperimentError(
                 "comparison needs at least one topology, pattern and router"
             )
+        from ..study.execute import validate_pattern
+
         parsed_faults = [FaultSet.from_spec(entry)
                          for entry in (fault_sets
                                        if fault_sets else [None])]
         cells: List[_Cell] = []
         for topology_name in topologies:
             topology = parse_topology(topology_name)
-            # same CDG search space as the figure/table harnesses: the full
-            # strategy set when the config asks for it (mesh only — the ad
-            # hoc and turn-model strategies are mesh constructions)
-            strategies = (
-                full_strategy_set(topology)
-                if self.config.explore_full_cdg_set and
-                isinstance(topology, Mesh2D) else None
-            )
             for pattern in patterns:
                 flow_set = pattern_flow_set(pattern, topology, self.config)
                 for router_name in routers:
-                    spec = router_spec(router_name)
                     for fault_set in parsed_faults:
-                        router = spec.create(
-                            seed=self.config.seed,
-                            strategies=strategies,
-                            hop_slack=self.config.hop_slack,
-                            milp_time_limit=self.config.milp_time_limit,
-                        )
-                        if fault_set:
-                            routed = route_with_faults(
-                                router, topology, flow_set, fault_set,
-                            )
-                            cell_topology = routed.topology
-                            route_set = routed.route_set
-                            boundaries = routed.phase_boundaries
-                            schedule = routed.schedule or None
-                        else:
-                            cell_topology = topology
-                            route_set = router.compute_routes(topology,
-                                                              flow_set)
-                            boundaries = phase_boundaries_for(router,
-                                                              route_set)
-                            schedule = None
                         cells.append(_Cell(
                             topology_name=topology_name.strip().lower(),
-                            pattern=_canonical_pattern(pattern),
-                            router=spec.name,
-                            display_name=spec.display_name,
-                            topology=cell_topology,
-                            algorithm=router,
-                            route_set=route_set,
-                            boundaries=boundaries,
+                            pattern=validate_pattern(pattern),
+                            routed=route_cell(router_name, topology,
+                                              flow_set, self.config,
+                                              fault_set),
                             search=SaturationSearch(self.criteria),
                             faults=fault_set.label(),
-                            fault_schedule=schedule,
                         ))
         return cells
 
@@ -405,10 +433,10 @@ class CompareMatrix:
         return CompareCell(
             topology=cell.topology_name,
             pattern=cell.pattern,
-            router=cell.router,
-            display_name=cell.display_name,
-            max_channel_load=cell.route_set.max_channel_load(),
-            average_hops=cell.route_set.average_hop_count(),
+            router=cell.routed.router,
+            display_name=cell.routed.display_name,
+            max_channel_load=cell.routed.route_set.max_channel_load(),
+            average_hops=cell.routed.route_set.average_hop_count(),
             saturation=result,
             low_load_latency=(low_stats.average_latency if low_stats else 0.0),
             p99_latency=(stable_stats.latency_percentile(0.99)

@@ -12,7 +12,6 @@ from .figures import (
     PAPER_FIGURE_CLAIMS,
     FigureResult,
     VCSweepResult,
-    default_algorithms,
     figure_by_number,
     figure_throughput_latency,
     figure_variation_sweep,
@@ -66,7 +65,6 @@ __all__ = [
     "extended_workload_names",
     "all_workloads",
     "build_mesh",
-    "default_algorithms",
     "figure_by_number",
     "figure_throughput_latency",
     "figure_variation_sweep",

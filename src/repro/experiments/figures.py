@@ -19,15 +19,10 @@ records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..exceptions import ExperimentError
-from ..routing.base import RoutingAlgorithm
-from ..routing.bsor.framework import full_strategy_set, paper_strategies
-from ..routing.registry import create_router
-from ..runner.engine import ExperimentRunner, SweepSpec, runner_for
-from ..simulator.config import SimulationConfig
-from ..simulator.simulation import SweepResult, phase_boundaries_for
+from ..runner.engine import ExperimentRunner, runner_for
 from .config import ExperimentConfig
 from .report import improvement_summary, render_pivot
 from .workloads import build_mesh, workload_flow_set
@@ -41,6 +36,11 @@ FIGURE_WORKLOADS: Dict[str, str] = {
     "6-5": "perf-modeling",
     "6-6": "transmitter",
 }
+
+#: The six algorithms of the paper's comparisons (Figures 6-1 .. 6-6 and
+#: Table 6.3), by display name.
+PAPER_ALGORITHMS = ("XY", "YX", "ROMM", "Valiant", "BSOR-MILP",
+                    "BSOR-Dijkstra")
 
 #: Qualitative claims of the paper attached to each figure, recorded so the
 #: benchmark output and EXPERIMENTS.md can state what shape to expect.
@@ -140,67 +140,33 @@ class FigureResult:
         return "\n".join(parts)
 
 
-def default_algorithms(config: ExperimentConfig, mesh,
-                       include_milp: bool = True) -> List[RoutingAlgorithm]:
-    """The six algorithms plotted in Figures 6-1 .. 6-6.
-
-    Instantiated through :mod:`repro.routing.registry`, so the figure
-    harness, the comparison engine and the CLIs all construct algorithms
-    the same way; each factory picks the options it understands from the
-    shared bag (``seed`` for ROMM/Valiant, ``strategies``/``hop_slack``/
-    ``milp_time_limit`` for BSOR).
-    """
-    strategies = (full_strategy_set(mesh) if config.explore_full_cdg_set
-                  else paper_strategies())
-    names = ["dor", "yx", "romm", "valiant"]
-    if include_milp:
-        names.append("bsor-milp")
-    names.append("bsor-dijkstra")
-    return [
-        create_router(
-            name,
-            seed=config.seed,
-            strategies=strategies,
-            hop_slack=config.hop_slack,
-            milp_time_limit=config.milp_time_limit,
-        )
-        for name in names
-    ]
-
-
-def _run_sweeps(algorithms: Sequence[RoutingAlgorithm], mesh, flow_set,
-                simulation: SimulationConfig,
-                offered_rates: Sequence[float],
-                workload: str,
-                runner: ExperimentRunner,
-                ) -> Tuple[Dict[str, SweepResult], Dict[str, float]]:
-    """Sweep every algorithm through the runner as one flat point batch."""
-    sweeps = runner.compare_algorithms(
-        algorithms, mesh, flow_set, simulation, offered_rates,
-        workload=workload,
-    )
-    mcls = {name: result.route_set.max_channel_load()
-            for name, result in sweeps.items()}
-    return sweeps, mcls
-
-
 def figure_throughput_latency(workload: str,
                               config: Optional[ExperimentConfig] = None,
-                              algorithms: Optional[Sequence[RoutingAlgorithm]] = None,
+                              algorithms: Optional[Sequence[str]] = None,
                               figure_name: Optional[str] = None,
                               runner: Optional[ExperimentRunner] = None,
                               ) -> FigureResult:
-    """Figures 6-1 .. 6-6: throughput & latency versus offered rate."""
+    """Figures 6-1 .. 6-6: throughput & latency versus offered rate.
+
+    *algorithms* are routing-registry names (default: the paper's six);
+    every curve's points share one runner batch.
+    """
+    from ..compare.matrix import route_cell
+
     config = config or ExperimentConfig()
     runner = runner or runner_for(config)
     mesh = build_mesh(config)
     flow_set = workload_flow_set(workload, mesh, config)
-    if algorithms is None:
-        algorithms = default_algorithms(config, mesh)
-    sweeps, mcls = _run_sweeps(
-        algorithms, mesh, flow_set, config.simulation,
-        config.offered_rates, workload, runner,
-    )
+    cells = [route_cell(name, mesh, flow_set, config)
+             for name in (algorithms or PAPER_ALGORITHMS)]
+    sweeps = runner.sweep_many({
+        cell.display_name: cell.sweep_spec(config.simulation,
+                                           config.offered_rates,
+                                           workload=workload)
+        for cell in cells
+    })
+    mcls = {name: result.route_set.max_channel_load()
+            for name, result in sweeps.items()}
     if figure_name is None:
         matching = [fig for fig, wl in FIGURE_WORKLOADS.items() if wl == workload]
         figure_name = f"Figure {matching[0]}" if matching else f"Sweep ({workload})"
@@ -307,6 +273,8 @@ def figure_vc_sweep(workload: str,
     rate) point is independent, so the whole figure is submitted to the
     runner as one batch and fills the worker pool.
     """
+    from ..compare.matrix import route_cell
+
     config = config or ExperimentConfig()
     runner = runner or runner_for(config)
     mesh = build_mesh(config)
@@ -317,31 +285,20 @@ def figure_vc_sweep(workload: str,
     # Routes are oblivious and independent of the simulated VC count (the
     # default algorithms allocate VCs dynamically), so each algorithm's
     # route set is computed once and reused across every VC count.
-    candidates = default_algorithms(config, mesh,
-                                    include_milp="BSOR-MILP" in wanted)
-    route_sets = {}
-    for algorithm in candidates:
-        if algorithm.name not in wanted:
-            continue
-        route_set = algorithm.compute_routes(mesh, flow_set)
-        route_sets[algorithm.name] = (
-            route_set, phase_boundaries_for(algorithm, route_set)
-        )
-    specs: Dict[str, SweepSpec] = {}
+    cells = [route_cell(name, mesh, flow_set, config) for name in wanted]
+    specs = {}
     for vcs in vc_counts:
         simulation = config.simulation.with_vcs(vcs)
-        for name, (route_set, boundaries) in route_sets.items():
-            if vcs == 1 and name in ("ROMM", "Valiant"):
+        for cell in cells:
+            if vcs == 1 and cell.display_name in ("ROMM", "Valiant"):
                 continue
-            specs[f"{name}@{vcs}"] = SweepSpec(
-                mesh, route_set, simulation, config.offered_rates,
-                workload=workload,
-                phase_boundaries=boundaries,
-            )
+            specs[f"{cell.display_name}@{vcs}"] = cell.sweep_spec(
+                simulation, config.offered_rates, workload=workload)
     results = runner.sweep_many(specs)
 
-    saturation: Dict[str, Dict[int, float]] = {name: {} for name in wanted}
-    curves: Dict[str, Dict[int, List[float]]] = {name: {} for name in wanted}
+    names = [cell.display_name for cell in cells]
+    saturation: Dict[str, Dict[int, float]] = {name: {} for name in names}
+    curves: Dict[str, Dict[int, List[float]]] = {name: {} for name in names}
     for key, result in results.items():
         name, _, vcs_text = key.rpartition("@")
         vcs = int(vcs_text)
@@ -361,7 +318,7 @@ def figure_vc_sweep(workload: str,
 # ----------------------------------------------------------------------
 def figure_variation_sweep(workload: str, variation_fraction: float,
                            config: Optional[ExperimentConfig] = None,
-                           algorithms: Optional[Sequence[RoutingAlgorithm]] = None,
+                           algorithms: Optional[Sequence[str]] = None,
                            runner: Optional[ExperimentRunner] = None,
                            ) -> FigureResult:
     """Figures 6-8/6-9/6-10: sweeps with run-time bandwidth variation.

@@ -17,18 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..routing.base import RoutingAlgorithm
-from ..routing.bsor.framework import (
-    BSORRouting,
-    CDGStrategy,
-    full_strategy_set,
-    paper_strategies,
-)
-from ..routing.dor import XYRouting, YXRouting
-from ..routing.romm import ROMMRouting
-from ..routing.valiant import ValiantRouting
+from ..routing.bsor.framework import BSORRouting, CDGStrategy, paper_strategies
 from ..runner.engine import ExperimentRunner, runner_for
 from .config import ExperimentConfig
+from .figures import PAPER_ALGORITHMS
 from .report import render_table
 from .workloads import WORKLOAD_NAMES, build_mesh, workload_flow_set
 
@@ -211,37 +203,20 @@ def table_6_2(config: Optional[ExperimentConfig] = None,
 # ----------------------------------------------------------------------
 # Table 6.3: MCL comparison across routing algorithms
 # ----------------------------------------------------------------------
-TABLE_6_3_COLUMNS = ("XY", "YX", "ROMM", "Valiant", "BSOR-MILP", "BSOR-Dijkstra")
-
-
-def _bsor_for(selector: str, config: ExperimentConfig, mesh) -> BSORRouting:
-    strategies = (full_strategy_set(mesh) if config.explore_full_cdg_set
-                  else paper_strategies())
-    return BSORRouting(
-        selector=selector,
-        strategies=strategies,
-        hop_slack=config.hop_slack,
-        milp_time_limit=config.milp_time_limit,
-    )
+TABLE_6_3_COLUMNS = PAPER_ALGORITHMS
 
 
 def _algorithm_mcl_row(task) -> Dict[str, Optional[float]]:
     """One Table 6.3 row: MCL of every algorithm on one workload."""
+    from ..compare.matrix import route_cell
+
     config, workload = task
     mesh = build_mesh(config)
     flow_set = workload_flow_set(workload, mesh, config)
-    algorithms: List[RoutingAlgorithm] = [
-        XYRouting(),
-        YXRouting(),
-        ROMMRouting(seed=config.seed),
-        ValiantRouting(seed=config.seed),
-        _bsor_for("milp", config, mesh),
-        _bsor_for("dijkstra", config, mesh),
-    ]
     row: Dict[str, Optional[float]] = {}
-    for algorithm in algorithms:
-        route_set = algorithm.compute_routes(mesh, flow_set)
-        row[algorithm.name] = route_set.max_channel_load()
+    for name in TABLE_6_3_COLUMNS:
+        cell = route_cell(name, mesh, flow_set, config)
+        row[name] = cell.route_set.max_channel_load()
     return row
 
 

@@ -113,32 +113,29 @@ class OccupancyHeatmap:
 
 def occupancy_heatmap(topology_name: str, pattern: str, router: str,
                       offered_rate: float, num_cycles: int = 256,
-                      buckets: int = 32, config=None) -> OccupancyHeatmap:
+                      buckets: int = 32, config=None,
+                      faults=None) -> OccupancyHeatmap:
     """Compute the offered channel occupancy of one scenario cell.
 
-    Reconstructs the topology, flow set and the router's route set from
-    the same vocabularies the comparison matrix uses, then draws the
-    injection process through a :class:`RecordingInjection` for
-    *num_cycles* cycles and attributes each injected packet's flits to
-    every channel along its flow's route, bucketed by injection cycle.
-    Pure trace-layer arithmetic: the simulator never runs.
+    Reconstructs the topology, flow set and the router's route set through
+    the same route stage the simulated cell used
+    (:func:`~repro.compare.matrix.route_cell`, so *faults* degrade the
+    topology and reroute exactly as in the run), then draws the injection
+    process through a :class:`RecordingInjection` for *num_cycles* cycles
+    and attributes each injected packet's flits to every channel along its
+    flow's route, bucketed by injection cycle.  Pure trace-layer
+    arithmetic: the simulator never runs.
     """
-    from .compare.matrix import parse_topology, pattern_flow_set
+    from .compare.matrix import parse_topology, pattern_flow_set, route_cell
     from .experiments.config import ExperimentConfig
-    from .routing.registry import router_spec
     from .simulator.injection import make_injection_process
     from .workloads.trace import RecordingInjection
 
     config = config or ExperimentConfig()
     topology = parse_topology(topology_name)
     flow_set = pattern_flow_set(pattern, topology, config)
-    spec = router_spec(router)
-    algorithm = spec.create(
-        seed=config.seed,
-        hop_slack=config.hop_slack,
-        milp_time_limit=config.milp_time_limit,
-    )
-    route_set = algorithm.compute_routes(topology, flow_set)
+    cell = route_cell(router, topology, flow_set, config, faults)
+    topology, route_set = cell.topology, cell.route_set
 
     recorder = RecordingInjection(make_injection_process(
         flow_set, offered_rate,
@@ -169,7 +166,7 @@ def occupancy_heatmap(topology_name: str, pattern: str, router: str,
     return OccupancyHeatmap(
         topology=topology_name,
         pattern=pattern,
-        router=spec.name,
+        router=cell.router,
         offered_rate=offered_rate,
         num_cycles=num_cycles,
         buckets=buckets,
@@ -181,27 +178,33 @@ def occupancy_heatmap(topology_name: str, pattern: str, router: str,
 
 def heatmaps_for(results: ResultSet, num_cycles: int = 256,
                  buckets: int = 32, offered_rate: Optional[float] = None,
-                 max_heatmaps: int = 4,
+                 max_heatmaps: int = 4, study=None,
                  ) -> Tuple[List[OccupancyHeatmap], List[str]]:
     """The heatmaps a result set's first scenario group supports.
 
-    Picks the first (topology, pattern) group and renders one heatmap per
-    router in it (capped at *max_heatmaps*, noting what was dropped) so
-    the channel-balance difference between routers — the paper's central
-    claim — is visible side by side.  Returns ``(heatmaps, notes)``;
-    reconstruction failures degrade to a note instead of failing the
-    whole report.
+    Picks the first (scenario, topology, pattern, faults) group and renders
+    one heatmap per router in it (capped at *max_heatmaps*, noting what was
+    dropped) so the channel-balance difference between routers — the
+    paper's central claim — is visible side by side.  With the *study*
+    that produced the rows (a :class:`~repro.study.spec.Study`), each
+    heatmap reconstructs its row's own cell: the study's profile, the
+    scenario's pinned seed and mapping, and the row's faults.  Bare rows
+    without a study fall back to the default configuration.  Returns
+    ``(heatmaps, notes)``; reconstruction failures degrade to a note
+    instead of failing the whole report.
     """
     notes: List[str] = []
     rows = results.rows
     if not rows:
         return [], ["no result rows; nothing to reconstruct"]
-    first = rows[0]
-    topology = first.get("topology") or "mesh8x8"
-    pattern = first.get("pattern") or first.get("workload") or "transpose"
-    group = [row for row in rows
-             if (row.get("topology") or "mesh8x8") == topology
-             and (row.get("pattern") or row.get("workload")) == pattern]
+
+    def cell_key(row: Dict) -> Tuple:
+        return (row.get("scenario"), row.get("topology") or "mesh8x8",
+                row.get("pattern") or row.get("workload") or "transpose",
+                row.get("faults") or "none")
+
+    scenario_name, topology, pattern, faults = cell_key(rows[0])
+    group = [row for row in rows if cell_key(row) == cell_key(rows[0])]
     routers: List[str] = []
     for row in group:
         name = row.get("router") or row.get("algorithm")
@@ -218,17 +221,30 @@ def heatmaps_for(results: ResultSet, num_cycles: int = 256,
         rates = sorted({row.get("offered_rate") for row in group
                         if isinstance(row.get("offered_rate"), (int, float))})
         offered_rate = rates[len(rates) // 2] if rates else 2.0
+    config = None if study is None else _cell_config(study, scenario_name)
     heatmaps: List[OccupancyHeatmap] = []
     for router in routers:
         try:
             heatmaps.append(occupancy_heatmap(
                 topology, pattern, router, offered_rate,
-                num_cycles=num_cycles, buckets=buckets,
+                num_cycles=num_cycles, buckets=buckets, config=config,
+                faults=faults,
             ))
         except ReproError as error:
             notes.append(f"no heatmap for {router} on {topology}/{pattern}: "
                          f"{error}")
     return heatmaps, notes
+
+
+def _cell_config(study, scenario_name: Optional[str]):
+    """The experiment config *study* ran the named scenario with."""
+    from .study.execute import resolve_config, scenario_config
+
+    config = resolve_config(study)
+    for scenario in study.scenarios:
+        if scenario.name == scenario_name:
+            return scenario_config(scenario, config)
+    return config
 
 
 # ----------------------------------------------------------------------
@@ -480,9 +496,15 @@ def build_report(path: str, title: Optional[str] = None,
     heatmaps: List[OccupancyHeatmap] = []
     notes: List[str] = []
     if with_heatmap:
+        study = None
+        if isinstance(metadata.get("study"), dict):
+            from .study.spec import Study
+
+            study = Study.from_dict(metadata["study"])
         heatmaps, notes = heatmaps_for(results, num_cycles=num_cycles,
                                        buckets=buckets,
-                                       offered_rate=offered_rate)
+                                       offered_rate=offered_rate,
+                                       study=study)
     return render_report(
         results,
         title=title or f"repro report: {os.path.basename(path)}",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -263,26 +262,12 @@ class ExperimentRunner:
                         offered_rates: Sequence[float],
                         workload: str = "") -> SweepResult:
         """Compute routes with *algorithm*, then sweep in parallel."""
-        return self.compare_algorithms(
-            [algorithm], topology, flow_set, config, offered_rates,
-            workload=workload,
-        )[algorithm.name]
-
-    def compare_algorithms(self, algorithms: Iterable[RoutingAlgorithm],
-                           topology: Topology, flow_set: FlowSet,
-                           config: SimulationConfig,
-                           offered_rates: Sequence[float],
-                           workload: str = "") -> Dict[str, SweepResult]:
-        """Sweep several algorithms; all points share one worker pool."""
-        specs: Dict[str, SweepSpec] = {}
-        for algorithm in algorithms:
-            route_set = algorithm.compute_routes(topology, flow_set)
-            specs[algorithm.name] = SweepSpec(
-                topology, route_set, config, offered_rates,
-                workload=workload,
-                phase_boundaries=phase_boundaries_for(algorithm, route_set),
-            )
-        return self.sweep_many(specs)
+        route_set = algorithm.compute_routes(topology, flow_set)
+        spec = SweepSpec(
+            topology, route_set, config, offered_rates, workload=workload,
+            phase_boundaries=phase_boundaries_for(algorithm, route_set),
+        )
+        return self.sweep_many({algorithm.name: spec})[algorithm.name]
 
     def sweep_many(self, specs: Mapping[str, SweepSpec]
                    ) -> Dict[str, SweepResult]:

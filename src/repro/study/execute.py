@@ -26,17 +26,18 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..compare.matrix import CompareMatrix, parse_topology, pattern_flow_set
+from ..compare.matrix import (
+    CompareMatrix,
+    parse_topology,
+    pattern_flow_set,
+    route_cell,
+)
 from ..compare.saturation import SaturationCriteria
 from ..exceptions import ReproError, StudyError
-from ..faults import FaultSet, route_with_faults
+from ..faults import FaultSet
 from ..experiments.config import ExperimentConfig
 from ..experiments.workloads import APPLICATION_WORKLOADS
-from ..routing.bsor.framework import full_strategy_set, paper_strategies
-from ..routing.registry import router_spec
 from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
-from ..simulator.simulation import phase_boundaries_for
-from ..topology.mesh import Mesh2D
 from ..traffic.synthetic import normalize_pattern_name
 from ..workloads.registry import is_registered_workload, workload_spec
 from .resultset import ResultSet
@@ -173,8 +174,9 @@ def resolve_config(study: Study, *, workers: Optional[int] = None,
     return config
 
 
-def _scenario_config(scenario: Scenario,
-                     config: ExperimentConfig) -> ExperimentConfig:
+def scenario_config(scenario: Scenario,
+                    config: ExperimentConfig) -> ExperimentConfig:
+    """*config* with the scenario's pinned mapping and seed applied."""
     updates: Dict = {}
     if scenario.mapping is not None:
         updates["mapping_strategy"] = scenario.mapping
@@ -188,10 +190,6 @@ def _scenario_topologies(scenario: Scenario,
     if scenario.topologies:
         return list(scenario.topologies)
     return [f"mesh{config.mesh_size}x{config.mesh_size}"]
-
-
-def _canonical_pattern(pattern: str) -> str:
-    return validate_pattern(pattern)
 
 
 def _run_sweep_scenario(scenario: Scenario, config: ExperimentConfig,
@@ -215,58 +213,31 @@ def _run_sweep_scenario(scenario: Scenario, config: ExperimentConfig,
     meta: Dict[str, Dict] = {}
     for topology_name in _scenario_topologies(scenario, config):
         topology = parse_topology(topology_name)
-        strategies = (
-            full_strategy_set(topology)
-            if config.explore_full_cdg_set and isinstance(topology, Mesh2D)
-            else paper_strategies()
-        )
         for pattern in scenario.patterns:
             flow_set = pattern_flow_set(pattern, topology, config)
             for router_name in scenario.routers:
-                spec = router_spec(router_name)
                 for fault_set in fault_axis:
-                    # a fresh router per fault point: randomized routers
-                    # (ROMM / Valiant / O1TURN) carry per-compute state
-                    router = spec.create(
-                        seed=config.seed,
-                        strategies=strategies,
-                        hop_slack=config.hop_slack,
-                        milp_time_limit=config.milp_time_limit,
-                    )
-                    if fault_set:
-                        routed = route_with_faults(router, topology,
-                                                   flow_set, fault_set)
-                        sim_topology = routed.topology
-                        route_set = routed.route_set
-                        boundaries = routed.phase_boundaries
-                        schedule = routed.schedule or None
-                    else:
-                        sim_topology = topology
-                        route_set = router.compute_routes(topology, flow_set)
-                        boundaries = phase_boundaries_for(router, route_set)
-                        schedule = None
+                    cell = route_cell(router_name, topology, flow_set, config,
+                                      fault_set)
                     label = fault_set.label()
                     for vcs in vc_counts:
                         simulation = config.simulation if vcs is None \
                             else config.simulation.with_vcs(vcs)
-                        key = (f"{topology_name}|{pattern}|{spec.name}|"
+                        key = (f"{topology_name}|{pattern}|{cell.router}|"
                                f"{vcs}|{label}")
-                        specs[key] = SweepSpec(
-                            sim_topology, route_set, simulation, rates,
-                            workload=pattern,
-                            phase_boundaries=boundaries or None,
-                            fault_schedule=schedule,
-                        )
+                        specs[key] = cell.sweep_spec(simulation, rates,
+                                                     workload=pattern)
                         meta[key] = {
                             "topology": topology_name.strip().lower(),
-                            "pattern": _canonical_pattern(pattern),
-                            "router": spec.name,
-                            "display_name": spec.display_name,
+                            "pattern": validate_pattern(pattern),
+                            "router": cell.router,
+                            "display_name": cell.display_name,
                             "vcs": vcs if vcs is not None
                             else simulation.num_vcs,
                             "faults": label,
-                            "max_channel_load": route_set.max_channel_load(),
-                            "average_hops": route_set.average_hop_count(),
+                            "max_channel_load":
+                                cell.route_set.max_channel_load(),
+                            "average_hops": cell.route_set.average_hop_count(),
                         }
     results = runner.sweep_many(specs)
 
@@ -363,14 +334,14 @@ def run_study(study: Study, *, workers: Optional[int] = None,
     rows: List[Dict] = []
     columns: List[str] = []
     for scenario in study.scenarios:
-        scenario_config = _scenario_config(scenario, config)
+        cell_config = scenario_config(scenario, config)
         if scenario.mode == "saturate":
             scenario_rows, scenario_report = _run_saturate_scenario(
-                scenario, scenario_config, runner)
+                scenario, cell_config, runner)
             new_columns = SATURATE_COLUMNS
         else:
             scenario_rows, scenario_report = _run_sweep_scenario(
-                scenario, scenario_config, runner)
+                scenario, cell_config, runner)
             new_columns = SWEEP_COLUMNS
         rows.extend(scenario_rows)
         report.merge(scenario_report)

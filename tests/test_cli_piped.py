@@ -22,7 +22,6 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.progress import event_from_dict
-from repro.runner.cli import main as runner_main
 
 REPO_ROOT = Path(__file__).parent.parent
 SMOKE_STUDY = REPO_ROOT / "examples" / "studies" / "smoke.yaml"
@@ -53,10 +52,6 @@ class TestBrokenPipeInProcess:
 
         monkeypatch.setattr(sys, "stdout", FlushOnlyPipe())
         assert repro_main(["list", "routers"]) == 0
-
-    def test_deprecation_shim_inherits_the_guard(self, monkeypatch):
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
-        assert runner_main(["list", "routers"]) == 0
 
 
 @pytest.mark.slow

@@ -1,11 +1,8 @@
-"""Tests for the unified CLI (:mod:`repro.cli`) and its deprecation shims.
+"""Tests for the unified CLI (:mod:`repro.cli`).
 
 Covers the golden help text, the uniform exit-code policy (0 ok / 2 usage /
-1 failure), the ``list`` and ``validate`` subcommands, an end-to-end
-``run examples/studies/smoke.yaml``, and shim forwarding: the legacy
-``python -m repro.runner`` / ``python -m repro.compare`` entry points must
-produce byte-identical stdout to the unified CLI (plus one deprecation
-pointer on stderr).
+1 failure), the ``list`` and ``validate`` subcommands, and an end-to-end
+``run examples/studies/smoke.yaml``.
 """
 
 from __future__ import annotations
@@ -17,10 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
-from repro.compare.cli import DEPRECATION_NOTE as COMPARE_NOTE
-from repro.compare.cli import main as compare_main
-from repro.runner.cli import DEPRECATION_NOTE as RUNNER_NOTE
-from repro.runner.cli import main as runner_main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EXAMPLES = Path(__file__).parent.parent / "examples" / "studies"
@@ -304,41 +297,8 @@ class TestSaturateSubcommand:
         assert "saturation_rate" in out
 
 
-class TestShimForwarding:
-    """Old invocations produce identical stdout through the shims."""
-
-    def test_runner_shim_cache_info_identical(self, capsys):
-        assert repro_main(["cache", "info"]) == 0
-        unified = capsys.readouterr().out
-        assert runner_main(["cache", "info"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == unified
-        assert RUNNER_NOTE in captured.err
-
-    def test_runner_shim_sweep_identical(self, capsys):
-        argv = ["sweep", "--workload", "transpose", "--algorithms", "XY",
-                "--rates", "0.5", "--profile", "quick", "--workers", "1",
-                "--no-cache"]
-        assert repro_main(argv) == 0
-        unified = capsys.readouterr().out
-        assert runner_main(argv) == 0
-        captured = capsys.readouterr()
-        # byte-identical: the timing summary moved to stderr, so stdout
-        # carries only the sweep tables on both paths
-        assert captured.out == unified
-        assert RUNNER_NOTE in captured.err
-
-    def test_runner_shim_accepts_options_before_subcommand(self, capsys):
-        assert runner_main(["--workers", "1", "cache", "info"]) == 0
-        capsys.readouterr()
-
-    def test_compare_shim_list_routers_identical(self, capsys):
-        assert repro_main(["compare", "--list-routers"]) == 0
-        unified = capsys.readouterr().out
-        assert compare_main(["--list-routers"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == unified
-        assert COMPARE_NOTE in captured.err
+class TestCommonOptions:
+    """Shared options are accepted before the subcommand."""
 
     def test_compare_accepts_common_options_before_subcommand(self, capsys):
         # shared options given before `compare` must not be clobbered by
@@ -361,35 +321,3 @@ class TestShimForwarding:
         assert code == 0
         out = capsys.readouterr().out
         assert "## mesh4x4 / transpose" in out
-
-    def test_compare_shim_run_identical(self, capsys):
-        argv = ["--topology", "mesh4x4", "--patterns", "transpose",
-                "--routers", "dor", "--profile", "quick", "--workers", "1",
-                "--no-cache", "--max-rate", "4", "--resolution", "0.5"]
-        assert repro_main(["compare", *argv]) == 0
-        unified = capsys.readouterr().out
-        assert compare_main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.out == unified
-        assert COMPARE_NOTE in captured.err
-
-    def test_legacy_compare_build_parser_keeps_defaults(self):
-        # kept for API compatibility: parsed namespaces must still carry
-        # the historical explicit defaults for the shared options
-        from repro.compare.cli import build_parser
-
-        args = build_parser().parse_args(["--routers", "dor"])
-        assert args.workers == 0
-        assert args.profile == "default"
-        assert args.backend is None
-        assert args.no_cache is False
-        assert args.cache_dir is None
-
-    def test_shim_exit_codes_forward(self, capsys):
-        assert compare_main(["--routers", "nope", "--profile", "quick",
-                             "--topology", "mesh4x4",
-                             "--patterns", "transpose",
-                             "--no-cache"]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert runner_main(["no-such-command"]) == 2
-        capsys.readouterr()

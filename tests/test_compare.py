@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.compare import (
     CompareMatrix,
     SaturationCriteria,
@@ -14,7 +15,6 @@ from repro.compare import (
     render_markdown,
     result_to_dict,
 )
-from repro.compare.cli import main as compare_main
 from repro.exceptions import ExperimentError
 from repro.experiments import ExperimentConfig
 from repro.topology import Mesh2D, Ring, Torus2D
@@ -102,20 +102,16 @@ class TestCompareMatrix:
     def test_full_cdg_set_forwarded_to_bsor(self):
         from dataclasses import replace
 
-        from repro.routing.bsor.framework import (
-            full_strategy_set,
-            paper_strategies,
-        )
-
+        # the full 15-CDG set finds the MCL-25 transpose routes the paper's
+        # five CDGs miss
         full = replace(QUICK, explore_full_cdg_set=True)
         cells = CompareMatrix(config=full, criteria=CRITERIA)._build_cells(
             ["mesh4x4"], ["transpose"], ["bsor-dijkstra"])
-        assert len(cells[0].algorithm.strategies) == \
-            len(full_strategy_set(Mesh2D(4)))
+        assert cells[0].routed.route_set.max_channel_load() == 25.0
 
         default = CompareMatrix(config=QUICK, criteria=CRITERIA)._build_cells(
             ["mesh4x4"], ["transpose"], ["bsor-dijkstra"])
-        assert len(default[0].algorithm.strategies) == len(paper_strategies())
+        assert default[0].routed.route_set.max_channel_load() == 50.0
 
     def test_cell_lookup_unknown_raises(self, quick_result):
         with pytest.raises(ExperimentError, match="no comparison cell"):
@@ -216,8 +212,8 @@ class TestReports:
 
 class TestCLI:
     def test_quick_run_prints_markdown(self, capsys):
-        code = compare_main([
-            "--topology", "mesh4x4", "--patterns", "transpose",
+        code = repro_main([
+            "compare", "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "dor,yx", "--profile", "quick",
             "--workers", "1", "--no-cache",
             "--max-rate", "4", "--resolution", "0.5",
@@ -229,8 +225,8 @@ class TestCLI:
         assert "| YX |" in out
 
     def test_json_output(self, capsys):
-        code = compare_main([
-            "--topology", "mesh4x4", "--patterns", "transpose",
+        code = repro_main([
+            "compare", "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "dor", "--profile", "quick",
             "--workers", "1", "--no-cache",
             "--max-rate", "4", "--resolution", "0.5", "--json",
@@ -241,8 +237,8 @@ class TestCLI:
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"
-        code = compare_main([
-            "--topology", "mesh4x4", "--patterns", "transpose",
+        code = repro_main([
+            "compare", "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "dor", "--profile", "quick",
             "--workers", "1", "--no-cache",
             "--max-rate", "4", "--resolution", "0.5",
@@ -253,22 +249,22 @@ class TestCLI:
         assert str(target) in capsys.readouterr().out
 
     def test_list_routers(self, capsys):
-        assert compare_main(["--list-routers"]) == 0
+        assert repro_main(["compare", "--list-routers"]) == 0
         out = capsys.readouterr().out
         assert "bsor-dijkstra" in out
         assert "o1turn" in out
 
     def test_unknown_router_fails_cleanly(self, capsys):
-        code = compare_main([
-            "--topology", "mesh4x4", "--patterns", "transpose",
+        code = repro_main([
+            "compare", "--topology", "mesh4x4", "--patterns", "transpose",
             "--routers", "nope", "--profile", "quick", "--no-cache",
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_pattern_fails_cleanly(self, capsys):
-        code = compare_main([
-            "--topology", "mesh4x4", "--patterns", "nope",
+        code = repro_main([
+            "compare", "--topology", "mesh4x4", "--patterns", "nope",
             "--routers", "dor", "--profile", "quick", "--no-cache",
         ])
         assert code == 1

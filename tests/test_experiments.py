@@ -161,10 +161,8 @@ class TestFigures:
         assert FIGURE_WORKLOADS["6-6"] == "transmitter"
 
     def test_figure_throughput_latency_quick(self):
-        from repro.routing import XYRouting, YXRouting
-
         figure = figure_throughput_latency(
-            "transpose", QUICK, algorithms=[XYRouting(), YXRouting()]
+            "transpose", QUICK, algorithms=["XY", "yx"]
         )
         assert set(figure.throughput) == {"XY", "YX"}
         assert len(figure.throughput["XY"]) == len(QUICK.offered_rates)
@@ -185,10 +183,8 @@ class TestFigures:
         assert isinstance(result.improvement("XY", 1, 2), float)
 
     def test_variation_sweep_quick(self):
-        from repro.routing import XYRouting
-
         figure = figure_variation_sweep("transpose", 0.25, QUICK,
-                                        algorithms=[XYRouting()])
+                                        algorithms=["XY"])
         assert figure.name == "Figure 6-9"
         assert figure.claim
         assert figure.throughput["XY"]

@@ -66,18 +66,6 @@ class TestParallelSerialEquivalence:
             ROMMRouting(seed=1), mesh4, transpose4, sim_config, [0.5, 2.0])
         assert curve_values(serial) == curve_values(parallel)
 
-    def test_compare_algorithms_matches_serial(self, mesh4, transpose4,
-                                               sim_config):
-        runner = ExperimentRunner(workers=2)
-        results = runner.compare_algorithms(
-            [XYRouting(), ROMMRouting(seed=1)], mesh4, transpose4,
-            sim_config, [0.5, 1.5], workload="transpose",
-        )
-        assert set(results) == {"XY", "ROMM"}
-        for name, result in results.items():
-            assert len(result.curve.points) == 2
-            assert result.route_set.algorithm == name
-
 
 class TestSweepMany:
     def test_batched_sweeps_keep_their_labels(self, mesh4, transpose4,

@@ -108,11 +108,11 @@ class TestFigure67BitIdentity:
     """
 
     def test_same_cache_keys_and_statistics(self, tmp_path, capsys):
-        from repro.runner.cli import main as runner_main
+        from repro.cli import main as repro_main
 
         cache_dir = str(tmp_path / "cache")
-        code = runner_main(["figure", "6.7", "--profile", "quick",
-                            "--workers", "1", "--cache-dir", cache_dir])
+        code = repro_main(["figure", "6.7", "--profile", "quick",
+                           "--workers", "1", "--cache-dir", cache_dir])
         assert code == 0
         # the runner summary is run bookkeeping, so it goes to stderr —
         # stdout carries only the figure itself
@@ -140,15 +140,15 @@ class TestFigure67BitIdentity:
 
     def test_legacy_rerun_hits_study_cache_too(self, tmp_path, capsys):
         """The identity is symmetric: study first, legacy second."""
-        from repro.runner.cli import main as runner_main
+        from repro.cli import main as repro_main
 
         cache_dir = str(tmp_path / "cache")
         study = Study.from_file(EXAMPLES / "figure_6_7.yaml")
         result = study.run(profile="quick", workers=1, cache_dir=cache_dir)
         assert result.report.points_simulated == 36
 
-        code = runner_main(["figure", "6.7", "--profile", "quick",
-                            "--workers", "1", "--cache-dir", cache_dir])
+        code = repro_main(["figure", "6.7", "--profile", "quick",
+                           "--workers", "1", "--cache-dir", cache_dir])
         assert code == 0
         assert "36 task(s), 0 executed, 36 from cache" in \
             capsys.readouterr().err

@@ -53,6 +53,10 @@ class TestBrokenPipeInProcess:
         monkeypatch.setattr(sys, "stdout", FlushOnlyPipe())
         assert repro_main(["list", "routers"]) == 0
 
+    def test_guard_holds_with_common_options_first(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert repro_main(["--workers", "1", "list", "routers"]) == 0
+
 
 @pytest.mark.slow
 class TestBrokenPipeSubprocess:

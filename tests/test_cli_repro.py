@@ -321,3 +321,37 @@ class TestCommonOptions:
         assert code == 0
         out = capsys.readouterr().out
         assert "## mesh4x4 / transpose" in out
+
+    def test_common_options_before_any_subcommand(self, capsys):
+        assert repro_main(["cache", "info"]) == 0
+        plain = capsys.readouterr().out
+        assert repro_main(["--workers", "1", "cache", "info"]) == 0
+        assert capsys.readouterr().out == plain
+
+
+class TestOutputStreams:
+    """stdout carries only results, so piped runs are byte-stable."""
+
+    def test_sweep_stdout_carries_only_the_tables(self, capsys):
+        argv = ["sweep", "--workload", "transpose", "--algorithms", "XY",
+                "--rates", "0.5", "--profile", "quick", "--workers", "1",
+                "--no-cache"]
+        assert repro_main(argv) == 0
+        first = capsys.readouterr()
+        assert first.out.startswith("transpose - throughput")
+        # the runner/timing summary goes to stderr, never stdout
+        assert "s]" not in first.out
+        assert "s]" in first.err
+        assert repro_main(argv) == 0
+        assert capsys.readouterr().out == first.out
+
+    def test_compare_run_stdout_is_repeatable(self, capsys):
+        argv = ["compare", "--topology", "mesh4x4", "--patterns",
+                "transpose", "--routers", "dor", "--profile", "quick",
+                "--workers", "1", "--no-cache", "--max-rate", "4",
+                "--resolution", "0.5"]
+        assert repro_main(argv) == 0
+        first = capsys.readouterr().out
+        assert "## mesh4x4 / transpose" in first
+        assert repro_main(argv) == 0
+        assert capsys.readouterr().out == first

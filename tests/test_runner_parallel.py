@@ -66,6 +66,25 @@ class TestParallelSerialEquivalence:
             ROMMRouting(seed=1), mesh4, transpose4, sim_config, [0.5, 2.0])
         assert curve_values(serial) == curve_values(parallel)
 
+    def test_routed_cells_match_serial(self, mesh4, transpose4, sim_config):
+        """Several route-stage cells batched in one pool equal serial runs."""
+        from repro.compare.matrix import route_cell
+        from repro.experiments import ExperimentConfig
+
+        config = ExperimentConfig(seed=1)
+        cells = [route_cell(name, mesh4, transpose4, config)
+                 for name in ("xy", "romm")]
+        specs = {cell.display_name: cell.sweep_spec(sim_config, [0.5, 1.5],
+                                                    workload="transpose")
+                 for cell in cells}
+        serial = ExperimentRunner(workers=1).sweep_many(specs)
+        parallel = ExperimentRunner(workers=2).sweep_many(specs)
+        assert set(parallel) == {"XY", "ROMM"}
+        for name, result in parallel.items():
+            assert len(result.curve.points) == 2
+            assert result.route_set.algorithm == name
+            assert curve_values(result) == curve_values(serial[name])
+
 
 class TestSweepMany:
     def test_batched_sweeps_keep_their_labels(self, mesh4, transpose4,

@@ -11,8 +11,11 @@
 #   make smoke      - one fast figure benchmark through the parallel runner
 #   make smoke-cli  - exercise the unified CLI end to end: help, a registry
 #                     listing, schema validation of every bundled study
-#                     spec, the smoke study on a tiny mesh, and the sweep
-#                     and profile commands (both route through route_cell)
+#                     spec, the smoke study on a tiny mesh run cold and
+#                     then warm against one temp cache (the two JSON
+#                     documents must be byte-identical; `cache stats`
+#                     then shows its route-entry line), and the sweep and
+#                     profile commands (both route through route_cell)
 #   make bench-smoke - time all three simulator backends on a small fixed
 #                     sweep (the batch kernel as one vectorized call),
 #                     write BENCH_simkernel.json (appending the record to
@@ -67,7 +70,15 @@ smoke-cli:
 	$(PYTHON) -m repro --help > /dev/null
 	$(PYTHON) -m repro list routers
 	$(PYTHON) -m repro validate examples/studies/*.yaml
-	$(PYTHON) -m repro run examples/studies/smoke.yaml --backend fast --no-cache
+	@tmp=$$(mktemp -d) && status=0 && \
+	for pass in cold warm; do \
+		$(PYTHON) -m repro run examples/studies/smoke.yaml --backend fast \
+			--cache-dir $$tmp/cache --format json --progress quiet \
+			--output $$tmp/$$pass.json || status=1; \
+	done; \
+	cmp $$tmp/cold.json $$tmp/warm.json || status=1; \
+	$(PYTHON) -m repro cache stats --cache-dir $$tmp/cache || status=1; \
+	rm -rf $$tmp; exit $$status
 	$(PYTHON) -m repro sweep --profile quick --workload transpose \
 		--algorithms dor,bsor-dijkstra --no-cache
 	$(PYTHON) -m repro profile --profile quick --workload transpose \

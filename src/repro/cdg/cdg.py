@@ -216,7 +216,15 @@ class ChannelDependenceGraph:
         return nx.is_directed_acyclic_graph(self._graph)
 
     def find_cycle(self) -> Optional[List[Tuple[Resource, Resource]]]:
-        """One directed cycle as a list of edges, or ``None`` if acyclic."""
+        """One directed cycle as a list of edges, or ``None`` if acyclic.
+
+        The acyclic case, the common one, is settled by a linear-time
+        topological check; ``nx.find_cycle`` is far slower there.  Only a
+        cyclic graph reaches ``nx.find_cycle``, so the cycle reported (and
+        with it every seeded cycle-breaking choice) is unchanged.
+        """
+        if nx.is_directed_acyclic_graph(self._graph):
+            return None
         try:
             return list(nx.find_cycle(self._graph, orientation=None))
         except nx.NetworkXNoCycle:

@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 
 from ..experiments.workloads import extended_workload_names
-from ..runner.cache import ResultCache, default_cache_dir
+from ..runner.cache import ROUTES_DIR, ResultCache, default_cache_dir
 from ..runner.engine import ExperimentRunner
 from .common import UsageError, common_options
 
@@ -234,6 +234,10 @@ def _render_cache_stats(cache: ResultCache) -> str:
             f"shared  {stats['shared_dir']}: {stats['shared_entries']} "
             f"entries, {stats['shared_bytes']} bytes"
         )
+    lines.append(
+        f"routes  {stats['directory']}/{ROUTES_DIR}: "
+        f"{stats['route_entries']} route set(s), {stats['route_bytes']} bytes"
+    )
     last_run = stats.get("last_run")
     if last_run:
         lines.append(
@@ -252,7 +256,8 @@ def run_cache(args: argparse.Namespace) -> str:
                         shared_dir=getattr(args, "shared_dir", None))
     if args.action == "clear":
         removed = cache.clear()
-        return f"removed {removed} cached result(s) from {cache.directory}"
+        return (f"removed {removed} cached result(s) and route set(s) "
+                f"from {cache.directory}")
     if args.action == "stats":
         return _render_cache_stats(cache)
     text = f"{cache.directory}: {len(cache)} cached result(s)"

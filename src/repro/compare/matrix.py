@@ -27,15 +27,23 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..exceptions import ExperimentError, TrafficError
+from ..exceptions import ExperimentError, ReproError, TrafficError
 from ..experiments.config import ExperimentConfig
 from ..experiments.workloads import APPLICATION_WORKLOADS, workload_flow_set
 from ..faults import FaultSet, route_with_faults
 from ..metrics.statistics import SimulationStatistics
 from ..routing.base import RouteSet
 from ..routing.bsor.framework import full_strategy_set, paper_strategies
+from ..routing.deadlock import analyze_virtual_networks
 from ..routing.registry import router_spec
-from ..runner.engine import ExperimentRunner, RunnerReport, SweepSpec, runner_for
+from ..runner.engine import (
+    ExperimentRunner,
+    RunnerReport,
+    SweepSpec,
+    cache_for,
+    runner_for,
+)
+from ..runner.fingerprint import ROUTE_SCHEMA_VERSION, route_cache_key
 from ..simulator.config import SimulationConfig
 from ..simulator.simulation import phase_boundaries_for
 from ..topology.base import Topology
@@ -156,7 +164,7 @@ def route_cell(router_name: str, topology: Topology, flow_set: FlowSet,
 
     Every execution path (studies, the comparison matrix, the figure and
     table harnesses, the CLI and the report heatmap) routes through here,
-    so the same cell always gets the same routes.  It decides three
+    so the same cell always gets the same routes.  It decides four
     things:
 
     * the router: a fresh instance from the registry spec, configured by
@@ -171,20 +179,39 @@ def route_cell(router_name: str, topology: Topology, flow_set: FlowSet,
       :meth:`~repro.faults.FaultSet.from_spec` accepts) reroutes through
       :func:`~repro.faults.route_with_faults`, which re-verifies deadlock
       freedom on the degraded topology; a fault-free cell computes its
-      routes directly and skips that analysis.
+      routes directly and skips that analysis;
+    * the route cache: with the config's result cache on
+      (:func:`~repro.runner.engine.cache_for`), the cell's
+      :func:`~repro.runner.fingerprint.route_cache_key` names a route
+      entry.  A verified entry is served without building a router; a
+      miss routes, then stores the entry.  Routing failures are never
+      stored, so they recompute and raise on every run.
     """
     spec = router_spec(router_name)
-    options = dict(seed=config.seed, hop_slack=config.hop_slack,
-                   milp_time_limit=config.milp_time_limit)
-    if "strategies" in spec.accepted_options():
+    accepted = spec.accepted_options()
+    options = {name: value for name, value in (
+        ("seed", config.seed), ("hop_slack", config.hop_slack),
+        ("milp_time_limit", config.milp_time_limit),
+    ) if name in accepted and value is not None}
+    if "strategies" in accepted:
         # only BSOR explores CDGs, and the full set builds 16 of them
         options["strategies"] = (
-            full_strategy_set(topology)
-            if config.explore_full_cdg_set and isinstance(topology, Mesh2D)
-            else paper_strategies()
-        )
-    router = spec.create(**options)
+            "full" if config.explore_full_cdg_set
+            and isinstance(topology, Mesh2D) else "paper")
     fault_set = FaultSet.from_spec(faults)
+    cache = cache_for(config)
+    if cache is not None:
+        key = route_cache_key(topology, flow_set, spec.name, options,
+                              fault_set.label())
+        cached = _cached_routes(cache.get_routes(key), topology, flow_set,
+                                fault_set)
+        if cached is not None:
+            return RoutedCell(spec.name, spec.display_name, *cached)
+    if "strategies" in options:
+        options["strategies"] = (full_strategy_set(topology)
+                                 if options["strategies"] == "full"
+                                 else paper_strategies())
+    router = spec.create(**options)
     if fault_set:
         routed = route_with_faults(router, topology, flow_set, fault_set)
         topology, route_set = routed.topology, routed.route_set
@@ -192,10 +219,39 @@ def route_cell(router_name: str, topology: Topology, flow_set: FlowSet,
     else:
         route_set = router.compute_routes(topology, flow_set)
         boundaries, schedule = phase_boundaries_for(router, route_set), None
+    if cache is not None:
+        cache.put_routes(key, {"schema": ROUTE_SCHEMA_VERSION,
+                               "route_set": route_set.to_payload(),
+                               "phase_boundaries": boundaries or {}})
     return RoutedCell(router=spec.name, display_name=spec.display_name,
                       topology=topology, route_set=route_set,
                       phase_boundaries=boundaries or None,
                       fault_schedule=schedule or None)
+
+
+def _cached_routes(entry: Optional[Dict], topology: Topology,
+                   flow_set: FlowSet, fault_set: FaultSet):
+    """(topology, route set, boundaries, schedule) of a route entry, or
+    ``None`` when the entry is absent, stale or fails verification.
+
+    An entry is trusted only when it rebuilds a complete route set whose
+    every hop is a channel of the (degraded) topology and whose virtual
+    networks are deadlock free — the same analysis
+    :func:`~repro.faults.route_with_faults` runs.
+    """
+    if entry is None or entry.get("schema") != ROUTE_SCHEMA_VERSION:
+        return None
+    try:
+        degraded = fault_set.degrade(topology)
+        route_set = RouteSet.from_payload(degraded, flow_set,
+                                          entry["route_set"])
+        boundaries = dict(entry["phase_boundaries"])
+        if not analyze_virtual_networks(route_set, boundaries).deadlock_free:
+            return None
+        schedule = fault_set.schedule(degraded)
+    except (ReproError, LookupError, TypeError, ValueError, AttributeError):
+        return None
+    return degraded, route_set, boundaries or None, schedule or None
 
 
 @dataclass

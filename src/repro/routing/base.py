@@ -244,6 +244,52 @@ class RouteSet:
         return all(route.is_statically_vc_allocated for route in self._routes.values())
 
     # ------------------------------------------------------------------
+    # plain-JSON form (cache fingerprints and cached route sets)
+    # ------------------------------------------------------------------
+    def to_payload(self) -> Dict[str, object]:
+        """The algorithm and every route in order, as plain JSON data.
+
+        Each route is ``[flow name, [[src, dst, vc], ...]]`` with ``vc``
+        ``-1`` for a physical-channel hop.
+        """
+        routes = []
+        for route in self._routes.values():
+            hops = []
+            for resource in route.resources:
+                channel = physical(resource)
+                vc = virtual_index(resource)
+                hops.append([channel.src, channel.dst,
+                             -1 if vc is None else vc])
+            routes.append([route.flow.name, hops])
+        return {"algorithm": self.algorithm, "routes": routes}
+
+    @classmethod
+    def from_payload(cls, topology: Topology, flow_set: FlowSet,
+                     payload: Dict) -> "RouteSet":
+        """Rebuild a complete route set from :meth:`to_payload` data.
+
+        Raises :class:`~repro.exceptions.ReproError` when a hop names a
+        channel *topology* does not have, a route names no flow of
+        *flow_set* or fails :class:`Route` validation, or a flow has no
+        route.
+        """
+        flows = {flow.name: flow for flow in flow_set}
+        route_set = cls(topology, flow_set, algorithm=str(payload["algorithm"]))
+        for name, hops in payload["routes"]:
+            if name not in flows:
+                raise RoutingError(f"flow {name!r} is not part of this flow set")
+            resources = []
+            for src, dst, vc in hops:
+                channel = topology.channel(src, dst)
+                resources.append(channel if vc == -1
+                                 else VirtualChannel(channel, vc))
+            route_set.add_path(flows[name], resources)
+        if not route_set.is_complete():
+            missing = [flow.name for flow in route_set.missing_flows()]
+            raise RoutingError(f"route set is missing flows: {missing}")
+        return route_set
+
+    # ------------------------------------------------------------------
     def describe(self) -> str:
         lines = [
             f"RouteSet[{self.algorithm or 'unnamed'}] for "

@@ -7,6 +7,19 @@ Entries are immutable — a key fully determines its statistics because the
 simulator is deterministic in its seed — so the cache never needs
 invalidation logic beyond the key itself.
 
+Route entries
+-------------
+
+The same tiers also hold **route sets**, under a ``routes/`` subdirectory
+(:data:`ROUTES_DIR`): the key is the
+:func:`~repro.runner.fingerprint.route_cache_key` of a route cell, the value
+the route set's JSON form plus its phase boundaries.  The route stage
+(:func:`~repro.compare.matrix.route_cell`) reads and writes them through
+:meth:`ResultCache.get_routes` / :meth:`ResultCache.put_routes` and verifies
+each entry before trusting it, so a warm rerun never solves BSOR again.
+Route entries stay out of the simulation counters, ``len()`` and
+``keys()``; ``clear()`` removes them too.
+
 Writes are atomic (a ``.tmp-<pid>-<random>`` temp file in the destination
 directory, published with ``os.replace``), which makes the cache safe to
 share between the worker processes of one run, between concurrent runs
@@ -41,7 +54,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from ..metrics.statistics import SimulationStatistics
 
@@ -61,6 +74,10 @@ DEFAULT_CACHE_DIR = "~/.cache/repro-bsor"
 #: directory (``python -m repro cache stats`` reads it back).  The leading
 #: dot keeps it out of the ``*.json`` entry enumeration.
 LAST_RUN_FILE = ".last-run.json"
+
+#: Subdirectory of each tier holding route-set entries
+#: (:meth:`ResultCache.get_routes`), apart from the simulation entries.
+ROUTES_DIR = "routes"
 
 
 def default_cache_dir() -> Path:
@@ -134,27 +151,43 @@ class ResultCache:
         self.shared_hits = 0
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def _shared_path(self, key: str) -> Optional[Path]:
+    def _tiers(self) -> Tuple[Path, ...]:
+        """The local directory, then the shared one if configured."""
         if self.shared_dir is None:
-            return None
-        return self.shared_dir / f"{key}.json"
+            return (self.directory,)
+        return (self.directory, self.shared_dir)
 
-    @staticmethod
-    def _load(path: Path) -> Optional[SimulationStatistics]:
-        """Statistics stored at *path*, or None when absent/unreadable."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        try:
-            return statistics_from_dict(payload["statistics"])
-        except (KeyError, TypeError):
-            # unreadable / stale schema: treat as a miss, entry will be
-            # overwritten by the fresh result
-            return None
+    def _read_through(self, name: str, parse: Callable[[str], Any]
+                      ) -> Tuple[Any, bool]:
+        """The first entry *name* (relative path) a tier holds that *parse*
+        accepts, and whether the shared tier served it.
+
+        An absent, unreadable or stale entry (*parse* raises) is skipped:
+        it reads as a miss, and the fresh result overwrites it.  A shared
+        hit is copied back into the local tier, so the next read of the
+        same entry never leaves this host.
+        """
+        for tier in self._tiers():
+            try:
+                text = (tier / name).read_text()
+                value = parse(text)
+            except (OSError, ValueError, LookupError, TypeError):
+                continue
+            if tier is self.directory:
+                return value, False
+            target = self.directory / name
+            try:
+                _atomic_write_text(target.parent, target, text)
+            except OSError:
+                pass  # a read must not fail because write-back did
+            return value, True
+        return None, False
+
+    def _write_through(self, name: str, text: str) -> None:
+        """Publish *text* as entry *name* in every tier."""
+        for tier in self._tiers():
+            target = tier / name
+            _atomic_write_text(target.parent, target, text)
 
     def get(self, key: str) -> Optional[SimulationStatistics]:
         """The cached statistics for *key*, or ``None`` on a miss.
@@ -163,28 +196,15 @@ class ResultCache:
         shared directory; a shared hit is copied back into the local tier
         so the next read of the same key never leaves this host.
         """
-        stats = self._load(self._path(key))
-        if stats is not None:
+        stats, shared = self._read_through(
+            f"{key}.json",
+            lambda text: statistics_from_dict(json.loads(text)["statistics"]))
+        if stats is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return stats
-        shared_path = self._shared_path(key)
-        if shared_path is not None:
-            stats = self._load(shared_path)
-            if stats is not None:
-                self.hits += 1
-                self.shared_hits += 1
-                try:
-                    self._publish(self.directory, self._path(key), key, stats)
-                except OSError:
-                    pass  # a read must not fail because write-back did
-                return stats
-        self.misses += 1
-        return None
-
-    def _publish(self, directory: Path, target: Path, key: str,
-                 statistics: SimulationStatistics) -> None:
-        payload = {"key": key, "statistics": statistics_to_dict(statistics)}
-        _atomic_write_text(directory, target, json.dumps(payload))
+            self.shared_hits += shared
+        return stats
 
     def put(self, key: str, statistics: SimulationStatistics) -> None:
         """Store *statistics* under *key* (atomic, last writer wins).
@@ -196,17 +216,27 @@ class ResultCache:
         key.  With a shared tier configured the entry is written through to
         both directories.
         """
-        self._publish(self.directory, self._path(key), key, statistics)
-        shared_path = self._shared_path(key)
-        if shared_path is not None:
-            assert self.shared_dir is not None
-            self._publish(self.shared_dir, shared_path, key, statistics)
+        payload = {"key": key, "statistics": statistics_to_dict(statistics)}
+        self._write_through(f"{key}.json", json.dumps(payload))
+
+    def get_routes(self, key: str) -> Optional[Dict]:
+        """The route-set document stored under *key*, or ``None``.
+
+        Route entries live under :data:`ROUTES_DIR` with the same tiers,
+        read-through and write-back as :meth:`get`, but they leave the
+        hit/miss counters alone: those count simulation points.  The
+        caller verifies the document before trusting it.
+        """
+        payload, _ = self._read_through(f"{ROUTES_DIR}/{key}.json",
+                                        json.loads)
+        return payload if isinstance(payload, dict) else None
+
+    def put_routes(self, key: str, payload: Dict) -> None:
+        """Store a route-set document under *key* (atomic, every tier)."""
+        self._write_through(f"{ROUTES_DIR}/{key}.json", json.dumps(payload))
 
     def __contains__(self, key: str) -> bool:
-        if self._path(key).exists():
-            return True
-        shared_path = self._shared_path(key)
-        return shared_path is not None and shared_path.exists()
+        return any((tier / f"{key}.json").exists() for tier in self._tiers())
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -226,19 +256,21 @@ class ResultCache:
         return self._directory_keys(self.directory)
 
     def clear(self) -> int:
-        """Delete every local entry; returns the number removed.
+        """Delete every local entry, route entries included; returns the
+        number removed.
 
         The shared tier is deliberately left untouched — it belongs to the
         deployment, not to this host (clear it by pointing a cache directly
         at the shared directory).
         """
         removed = 0
-        for key in list(self.keys()):
-            try:
-                self._path(key).unlink()
-                removed += 1
-            except OSError:
-                pass
+        for directory in (self.directory, self.directory / ROUTES_DIR):
+            for key in list(self._directory_keys(directory)):
+                try:
+                    (directory / f"{key}.json").unlink()
+                    removed += 1
+                except OSError:
+                    pass
         return removed
 
     # ------------------------------------------------------------------
@@ -261,12 +293,17 @@ class ResultCache:
         """One flat mapping of sizes and counters, for the ``cache stats``
         CLI and the service's introspection endpoints.
 
+        ``entries`` / ``bytes`` count simulation entries; the local route
+        entries are counted apart as ``route_entries`` / ``route_bytes``.
         ``hits`` / ``misses`` / ``shared_hits`` are this process's counters;
         ``last_run`` is the snapshot the most recent runner recorded in the
         directory (:meth:`record_run`), or ``None``.
         """
         payload: Dict[str, object] = {"directory": str(self.directory)}
         payload.update(self._directory_stats(self.directory))
+        routes = self._directory_stats(self.directory / ROUTES_DIR)
+        payload["route_entries"] = routes["entries"]
+        payload["route_bytes"] = routes["bytes"]
         if self.shared_dir is not None:
             shared = self._directory_stats(self.shared_dir)
             payload["shared_dir"] = str(self.shared_dir)

@@ -430,30 +430,34 @@ class ExperimentRunner:
                 f"last run: {self.last_report.describe()})")
 
 
+def cache_for(config) -> Optional[ResultCache]:
+    """The result cache an :class:`ExperimentConfig` asks for, or ``None``.
+
+    Reads ``use_cache`` / ``cache_dir`` / ``shared_cache_dir`` (absent
+    fields mean uncached); unset directories resolve through the cache's
+    environment variables and default location.  The runner's simulation
+    entries and the route stage's route entries both follow this one rule.
+    """
+    if not getattr(config, "use_cache", False):
+        return None
+    return ResultCache(getattr(config, "cache_dir", None),
+                       shared_dir=getattr(config, "shared_cache_dir", None))
+
+
 def runner_for(config, observer: Optional[ProgressObserver] = None
                ) -> ExperimentRunner:
     """Build the runner an :class:`ExperimentConfig` asks for.
 
-    Reads the config's ``workers`` / ``use_cache`` / ``cache_dir`` /
-    ``shared_cache_dir`` / ``execution`` / ``queue_dir`` fields (absent
-    fields default to serial, uncached, local execution — the seed
-    behaviour), so existing call sites that pass a plain configuration keep
-    working.  An *observer* receives the runner's progress-event stream.
+    Reads the config's ``workers`` / ``execution`` / ``queue_dir`` fields
+    and its cache fields (:func:`cache_for`); absent fields default to
+    serial, uncached, local execution — the seed behaviour — so existing
+    call sites that pass a plain configuration keep working.  An
+    *observer* receives the runner's progress-event stream.
     """
     workers = getattr(config, "workers", 1)
-    use_cache = getattr(config, "use_cache", False)
-    cache_dir = getattr(config, "cache_dir", None)
-    shared_cache_dir = getattr(config, "shared_cache_dir", None)
-    cache: Union[ResultCache, str, bool, None]
-    if not use_cache:
-        cache = None
-    elif cache_dir or shared_cache_dir:
-        cache = ResultCache(cache_dir, shared_dir=shared_cache_dir)
-    else:
-        cache = True
     execution = getattr(config, "execution", None)
     if isinstance(execution, str):
         execution = resolve_execution(
             execution, queue_dir=getattr(config, "queue_dir", None))
-    return ExperimentRunner(workers=workers, cache=cache, observer=observer,
-                            execution=execution)
+    return ExperimentRunner(workers=workers, cache=cache_for(config),
+                            observer=observer, execution=execution)

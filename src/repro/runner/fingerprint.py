@@ -18,6 +18,11 @@ preserved, not sorted away: both are genuine simulation inputs (flows share
 one injection RNG stream drawn in flow-set order; channel ids and
 arbitration order follow the topology's channel enumeration), so two
 experiments that differ only in ordering must not collide on one key.
+
+Route sets are content addressed the same way: :func:`route_cache_key`
+digests what determines a route set (topology, flow set, router, its
+options and the fault set), so the route stage can serve a warm cell
+without building a router.
 """
 
 from __future__ import annotations
@@ -31,11 +36,15 @@ from ..routing.base import RouteSet
 from ..simulator.batchsim import LANE_VARIABLE_FIELDS
 from ..simulator.config import SimulationConfig
 from ..topology.base import Topology
-from ..topology.links import physical, virtual_index
+from ..traffic.flow import FlowSet
 
 #: Bump when the simulator's semantics change in a way that invalidates
 #: previously cached statistics.
 CACHE_SCHEMA_VERSION = 1
+
+#: Bump when a router's output for the same inputs changes, which
+#: invalidates previously cached route sets (:func:`route_cache_key`).
+ROUTE_SCHEMA_VERSION = 1
 
 
 def _digest(payload: object) -> str:
@@ -64,24 +73,21 @@ def flow_set_fingerprint(route_set: RouteSet) -> list:
     stream in flow-set order, so reordered flow sets are different
     simulations.
     """
+    return _flows(route_set.flow_set)
+
+
+def _flows(flow_set: FlowSet) -> list:
     return [
         (flow.name, flow.source, flow.destination, float(flow.demand))
-        for flow in route_set.flow_set
+        for flow in flow_set
     ]
 
 
 def route_set_fingerprint(route_set: RouteSet) -> Dict[str, object]:
     """Canonical description of every route (channels + static VCs)."""
-    routes = {}
-    for route in route_set:
-        hops = []
-        for resource in route.resources:
-            channel = physical(resource)
-            vc = virtual_index(resource)
-            hops.append([channel.src, channel.dst,
-                         -1 if vc is None else vc])
-        routes[route.flow.name] = hops
-    return {"algorithm": route_set.algorithm, "routes": routes}
+    payload = route_set.to_payload()
+    return {"algorithm": payload["algorithm"],
+            "routes": dict(payload["routes"])}
 
 
 def config_fingerprint(config: SimulationConfig) -> Dict[str, object]:
@@ -171,3 +177,25 @@ def batch_group_key(topology: Topology, route_set: RouteSet,
     if fault_schedule:
         payload["faults"] = fault_schedule.to_payload()
     return _digest(payload)
+
+
+def route_cache_key(topology: Topology, flow_set: FlowSet, router: str,
+                    options: Dict[str, object], faults: str) -> str:
+    """The content-addressed key of one route set.
+
+    Route selection is deterministic in its inputs: the base *topology*,
+    the *flow_set* (names, endpoints and demands, in order), the canonical
+    *router* name, the *options* the router is built with (scalar values
+    only; BSOR's CDG strategy set enters as its name) and the canonical
+    *faults* label (:meth:`~repro.faults.FaultSet.label`).  Simulation-only
+    inputs (VC count, kernel, workers, cache location) are absent, so one
+    route set serves every simulation of its cell.
+    """
+    return _digest({
+        "schema": ROUTE_SCHEMA_VERSION,
+        "topology": topology_fingerprint(topology),
+        "flows": _flows(flow_set),
+        "router": router,
+        "options": options,
+        "faults": faults,
+    })

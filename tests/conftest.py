@@ -24,6 +24,19 @@ from repro.traffic import FlowSet, transpose
 from repro.simulator import SimulationConfig
 
 
+@pytest.fixture(autouse=True)
+def _private_default_cache(tmp_path_factory, monkeypatch):
+    """Point the default cache location at a fresh temp directory.
+
+    Paths that cache without naming a directory (a study's own cache
+    policy, the report heatmap, CLI defaults) then never read or write the
+    user's ``~/.cache/repro-bsor`` or a shared tier from the environment.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR",
+                       str(tmp_path_factory.mktemp("default-cache")))
+    monkeypatch.delenv("REPRO_SHARED_CACHE_DIR", raising=False)
+
+
 @pytest.fixture
 def mesh3() -> Mesh2D:
     """The paper's worked-example 3x3 mesh."""

@@ -45,7 +45,7 @@ def _route_set_digest(route_set, boundaries) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _route_grid():
+def _route_grid(config=QUICK):
     digests = {}
     for router in available_routers():
         for topology_name in ("mesh4x4", "torus4x4"):
@@ -54,8 +54,9 @@ def _route_grid():
                 for faults in ("none", "link:5-6"):
                     key = f"{router}|{topology_name}|{pattern}|{faults}"
                     try:
-                        flow_set = pattern_flow_set(pattern, topology, QUICK)
-                        cell = route_cell(router, topology, flow_set, QUICK,
+                        flow_set = pattern_flow_set(pattern, topology,
+                                                    config)
+                        cell = route_cell(router, topology, flow_set, config,
                                           FaultSet.from_spec(faults))
                         digests[key] = _route_set_digest(
                             cell.route_set, cell.phase_boundaries)
